@@ -126,7 +126,7 @@ fn worker_loop<T, F: Fn(T)>(shared: &PoolShared<T>, run: &F) {
 
 /// Pool state is plain data; a panicking job must not poison the queue
 /// for every later request.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

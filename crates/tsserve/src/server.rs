@@ -1,18 +1,26 @@
 //! The server core: configuration, shared state, the accept loop with
 //! admission control, per-connection handling, and graceful drain.
 //!
-//! The accept loop is single-threaded and non-blocking; accepted
-//! connections are handed to the bounded pool. When the pool rejects
-//! (queue full) the connection is shed immediately with
-//! `503 + Retry-After` — the server never queues without bound, so an
-//! overload burst degrades into fast, typed refusals instead of
-//! collapse.
+//! One thread blocks in `accept`; accepted connections are handed to
+//! the bounded pool together with their accept instant, so the time a
+//! connection waits for a worker is recorded as `serve.queue_wait`.
+//! When the pool rejects (queue full) the connection is shed
+//! immediately with `503 + Retry-After` — the server never queues
+//! without bound, so an overload burst degrades into fast, typed
+//! refusals instead of collapse.
+//!
+//! An idle server uses no CPU: nothing polls. [`AppState::begin_drain`]
+//! wakes the blocked `accept` by connecting to the listener's own
+//! address (loopback when bound to `0.0.0.0` or `[::]`); the accept
+//! loop recognises that connection by its peer address and exits
+//! without counting it, while a real client that races the drain still
+//! gets `503 draining`.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tsexperiments::CheckpointStore;
@@ -20,13 +28,18 @@ use tsobs::Recorder;
 
 use crate::gate::Gate;
 use crate::http::{self, Limits, Response};
-use crate::pool::BoundedPool;
+use crate::pool::{lock_unpoisoned, BoundedPool};
 use crate::registry::ModelRegistry;
 use crate::streams::StreamRegistry;
 use crate::telemetry::RingTelemetry;
 
-/// Accept-loop poll quantum while idle or draining.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Back-off after an accept error such as `EMFILE`, so a persistent
+/// failure cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bound on the drain's wake connection. Should it fail, the next
+/// accepted connection ends the accept loop instead.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server configuration. [`Default`] is sized for tests and small
 /// deployments; `main.rs` exposes every knob as a flag.
@@ -94,19 +107,50 @@ pub struct AppState {
     /// Bounded telemetry ring (the per-request recorder).
     pub telemetry: RingTelemetry,
     draining: AtomicBool,
+    /// Where [`AppState::begin_drain`] connects to wake the accept loop.
+    wake_addr: SocketAddr,
+    /// Local address of the drain's wake connection. `begin_drain`
+    /// holds the lock from raising the flag until this is set, so the
+    /// accept loop can tell the wake from a client racing the drain.
+    wake_from: Mutex<Option<SocketAddr>>,
 }
 
 impl AppState {
     /// Whether drain has been requested.
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Relaxed)
+        self.draining.load(Ordering::SeqCst)
     }
 
     /// Requests a graceful drain: stop accepting, finish in-flight,
-    /// flush telemetry, exit the accept loop.
+    /// flush telemetry, exit the accept loop. The first call wakes the
+    /// loop out of its blocking `accept` with a connection to the
+    /// listener; later calls do nothing.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Relaxed);
+        let mut wake_from = lock_unpoisoned(&self.wake_from);
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Ok(wake) = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT) {
+            *wake_from = wake.local_addr().ok();
+        }
     }
+
+    /// Whether a connection from `peer`, accepted while draining, is
+    /// the drain's own wake rather than a client.
+    fn is_wake(&self, peer: SocketAddr) -> bool {
+        *lock_unpoisoned(&self.wake_from) == Some(peer)
+    }
+}
+
+/// The address a client on this host reaches `bound` at: the bound
+/// address itself, or loopback of the same family for a wildcard bind.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Final counters reported when the server exits.
@@ -138,7 +182,6 @@ impl Server {
     /// the model registry from persisted artifacts.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let store = match &config.checkpoint_dir {
             Some(dir) => CheckpointStore::new(dir),
@@ -169,6 +212,8 @@ impl Server {
             telemetry,
             config,
             draining: AtomicBool::new(false),
+            wake_addr: wake_addr(addr),
+            wake_from: Mutex::new(None),
         });
         Ok(Server {
             listener,
@@ -196,7 +241,9 @@ impl Server {
         let pool = BoundedPool::new(
             state.config.workers,
             state.config.queue_depth,
-            move |stream: TcpStream| handle_connection(stream, &pool_state),
+            move |(stream, accepted_at): (TcpStream, Instant)| {
+                handle_connection(stream, accepted_at, &pool_state);
+            },
         );
 
         loop {
@@ -204,19 +251,24 @@ impl Server {
                 break;
             }
             match self.listener.accept() {
-                Ok((mut stream, _peer)) => {
-                    state.gate.admit();
-                    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
+                Ok((mut stream, peer)) => {
+                    let accepted_at = Instant::now();
                     if state.is_draining() {
-                        state.gate.record_shed();
-                        let resp = Response::error(503, "draining", "server is draining")
-                            .with_retry_after(1);
-                        let _ = resp.write_to(&mut stream);
+                        if !state.is_wake(peer) {
+                            state.gate.admit();
+                            state.gate.record_shed();
+                            let _ = stream.set_write_timeout(Some(state.config.write_timeout));
+                            let resp = Response::error(503, "draining", "server is draining")
+                                .with_retry_after(1);
+                            let _ = resp.write_to(&mut stream);
+                        }
                         break;
                     }
-                    match pool.try_submit(stream) {
+                    state.gate.admit();
+                    let _ = stream.set_write_timeout(Some(state.config.write_timeout));
+                    match pool.try_submit((stream, accepted_at)) {
                         Ok(_depth) => {}
-                        Err(mut stream) => {
+                        Err((mut stream, _)) => {
                             state.gate.record_shed();
                             state.telemetry.counter("serve.shed", 1);
                             let resp = Response::error(
@@ -229,11 +281,8 @@ impl Server {
                         }
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
 
@@ -314,7 +363,9 @@ fn drain_available(stream: &mut TcpStream) {
 }
 
 /// Serves one connection: read, route (panic-isolated), respond.
-fn handle_connection(mut stream: TcpStream, state: &AppState) {
+/// `accepted_at` is when the accept loop took the connection, so the
+/// gap to now is the time it waited in the pool queue.
+fn handle_connection(mut stream: TcpStream, accepted_at: Instant, state: &AppState) {
     let start = Instant::now();
     let limits = Limits {
         max_head_bytes: state.config.max_head_bytes,
@@ -351,12 +402,51 @@ fn handle_connection(mut stream: TcpStream, state: &AppState) {
         }
     };
     let errored = response.status >= 400;
-    let status_class = response.status / 100;
     let _ = response.write_to(&mut stream);
     let elapsed = start.elapsed().as_nanos() as u64;
     state.gate.depart(elapsed, errored);
+    state.telemetry.span(
+        "serve.queue_wait",
+        start.duration_since(accepted_at).as_nanos() as u64,
+    );
     state.telemetry.span("serve.request", elapsed);
-    state
-        .telemetry
-        .counter(&format!("serve.status.{status_class}xx"), 1);
+    state.telemetry.counter(status_counter(response.status), 1);
+}
+
+/// The `serve.status.<class>xx` counter for `status`. The server only
+/// emits 2xx, 4xx and 5xx statuses.
+fn status_counter(status: u16) -> &'static str {
+    match status / 100 {
+        2 => "serve.status.2xx",
+        4 => "serve.status.4xx",
+        5 => "serve.status.5xx",
+        _ => "serve.status.other",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_wildcards_to_loopback() {
+        let cases = [
+            ("0.0.0.0:7878", "127.0.0.1:7878"),
+            ("[::]:7878", "[::1]:7878"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+            ("[::1]:9", "[::1]:9"),
+        ];
+        for (bound, expected) in cases {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), expected.parse().unwrap(), "{bound}");
+        }
+    }
+
+    #[test]
+    fn status_counter_names_match_the_status_class() {
+        for status in [200, 400, 404, 405, 408, 413, 422, 500, 503, 504] {
+            let expected = format!("serve.status.{}xx", status / 100);
+            assert_eq!(status_counter(status), expected);
+        }
+    }
 }

@@ -572,3 +572,121 @@ fn loadgen_reports_consistent_totals() {
     let summary = server.drain_and_join().unwrap();
     assert!(summary.completed >= 40);
 }
+
+/// Drains `server` on a helper thread and fails, rather than hangs,
+/// when the accept loop does not exit within `limit` — a lost drain
+/// wake would otherwise block in `accept` forever.
+fn drain_within(server: ServerHandle, limit: Duration) -> tsserve::ServeSummary {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.drain_and_join());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("server did not drain within {limit:?}"))
+        .expect("drain")
+}
+
+/// An idle server bound to `bind` drains within 1 s through
+/// `POST /admin/drain` and through `drain_and_join`, and the drain's
+/// wake connection appears in no counter.
+fn idle_drain_is_prompt_and_uncounted(bind: &str) {
+    let limit = Duration::from_secs(1);
+    let client_addr = |server: &ServerHandle| {
+        std::net::SocketAddr::new(std::net::Ipv4Addr::LOCALHOST.into(), server.addr().port())
+    };
+
+    // Through the admin route: one health check, then the drain request.
+    let server = boot(|c| c.addr = bind.to_string());
+    let addr = client_addr(&server);
+    let (status, _) = http_request(addr, "GET", "/healthz", "", CLIENT_TIMEOUT).unwrap();
+    assert_eq!(status, 200);
+    // Let the server sit idle in `accept` before the drain arrives.
+    std::thread::sleep(Duration::from_millis(50));
+    let start = Instant::now();
+    let (status, _) = http_request(addr, "POST", "/admin/drain", "", CLIENT_TIMEOUT).unwrap();
+    assert_eq!(status, 200);
+    let summary = drain_within(server, limit);
+    assert!(
+        start.elapsed() < limit,
+        "admin drain took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(summary.accepted, 2, "{summary:?}");
+    assert_eq!(summary.completed, 2, "{summary:?}");
+    assert_eq!(summary.shed, 0, "{summary:?}");
+    assert_eq!(summary.errors, 0, "{summary:?}");
+
+    // Through the handle, with no request at all.
+    let server = boot(|c| c.addr = bind.to_string());
+    let state = server.state();
+    std::thread::sleep(Duration::from_millis(50));
+    let start = Instant::now();
+    let summary = drain_within(server, limit);
+    assert!(
+        start.elapsed() < limit,
+        "handle drain took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(summary.accepted, 0, "{summary:?}");
+    assert_eq!(summary.completed, 0, "{summary:?}");
+    assert_eq!(summary.shed, 0, "{summary:?}");
+    // The counters `/healthz` reports are the same gate.
+    let health = state.gate.snapshot_json();
+    assert!(
+        health.contains("\"accepted\":0,\"completed\":0,\"inflight\":0,\"shed\":0"),
+        "{health}"
+    );
+}
+
+#[test]
+fn idle_loopback_server_drains_promptly() {
+    idle_drain_is_prompt_and_uncounted("127.0.0.1:0");
+}
+
+#[test]
+fn idle_wildcard_server_drains_promptly() {
+    idle_drain_is_prompt_and_uncounted("0.0.0.0:0");
+}
+
+#[test]
+fn queue_wait_is_recorded_per_request() {
+    let server = boot(|_| {});
+    let addr = server.addr();
+    let (status, body) = http_request(
+        addr,
+        "POST",
+        "/v1/models/qw/fit",
+        &two_cluster_body(4, 32, 2, 10_000),
+        CLIENT_TIMEOUT,
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let assigns = 5;
+    for _ in 0..assigns {
+        let (status, body) = http_request(
+            addr,
+            "POST",
+            "/v1/models/qw/assign",
+            &assign_body(2, 32, 10_000),
+            CLIENT_TIMEOUT,
+        )
+        .unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+
+    let (status, lines) = http_request(addr, "GET", "/v1/telemetry", "", CLIENT_TIMEOUT).unwrap();
+    assert_eq!(status, 200);
+    let spans = |name: &str| -> Vec<&str> {
+        let key = format!("\"name\":\"{name}\"");
+        lines.lines().filter(|l| l.contains(&key)).collect()
+    };
+    let waits = spans("serve.queue_wait");
+    // One per request before the telemetry read: the fit and the assigns.
+    assert_eq!(waits.len(), assigns + 1, "{lines}");
+    assert_eq!(waits.len(), spans("serve.request").len(), "{lines}");
+    for line in waits {
+        tsobs::validate_event_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert!(line.contains("\"type\":\"span\""), "{line}");
+    }
+    server.drain_and_join().unwrap();
+}
