@@ -19,6 +19,7 @@ use tsobs::{IterationEvent, Obs, Recorder};
 use tsrand::StdRng;
 use tsrun::{Budget, CancelToken, RunControl};
 
+use crate::bank::CentroidBank;
 use crate::extraction::{extract_aligned, EigenMethod};
 use crate::init::{plus_plus_assignment_spectra, random_assignment, InitStrategy};
 use crate::spectra::{resolve_threads, SpectraEngine};
@@ -315,6 +316,7 @@ impl KShape {
             InitStrategy::PlusPlus => plus_plus_assignment_spectra(&engine, cfg.k, &mut rng),
         };
         let mut centroids: Vec<Vec<f64>> = vec![vec![0.0; m]; cfg.k];
+        let mut bank = CentroidBank::fixed(m, 1)?;
 
         let mut iterations = 0;
         let mut converged = false;
@@ -363,9 +365,9 @@ impl KShape {
             // pair over the cached spectra; each centroid is transformed
             // exactly once per iteration.
             let assign_span = obs.span("kshape.assignment");
-            let cents = engine.prepare_centroids(&centroids);
+            bank.load(&centroids)?;
             obs.counter("sbd.spectra.centroid_ffts", cfg.k as u64);
-            let changed = match engine.assign(&cents, &mut labels, &mut dists, &mut shifts, ctrl) {
+            let changed = match engine.assign(&bank, &mut labels, &mut dists, &mut shifts, ctrl) {
                 Ok(changed) => changed,
                 Err(reason) => return Err(RunControl::stop_error(labels, iterations - 1, reason)),
             };

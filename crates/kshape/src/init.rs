@@ -8,7 +8,9 @@
 //! reduces the restarts needed.
 
 use tsrand::Rng;
+use tsrun::RunControl;
 
+use crate::bank::CentroidBank;
 use crate::spectra::SpectraEngine;
 
 /// Initialization strategy for [`crate::algorithm::KShape`].
@@ -104,17 +106,20 @@ pub(crate) fn plus_plus_assignment_spectra<R: Rng>(
     }
 
     // Assign to the nearest seed.
+    let rows: Vec<Vec<f64>> = seeds.iter().map(|&s| engine.view()[s].clone()).collect();
+    let mut bank = CentroidBank::fixed(engine.plan().series_len(), 1).expect("rows are non-empty");
+    bank.load(&rows).expect("seeds are rows of the engine");
     let mut labels = vec![0usize; n];
-    let mut best = vec![f64::INFINITY; n];
-    for (j, &seed) in seeds.iter().enumerate() {
-        engine.distances_to(engine.spectrum(seed), &mut d);
-        for i in 0..n {
-            if d[i] < best[i] {
-                best[i] = d[i];
-                labels[i] = j;
-            }
-        }
-    }
+    let (mut dists, mut shifts) = (vec![0.0f64; n], vec![0isize; n]);
+    engine
+        .assign(
+            &bank,
+            &mut labels,
+            &mut dists,
+            &mut shifts,
+            &RunControl::unlimited(),
+        )
+        .expect("unlimited control cannot trip");
     labels
 }
 

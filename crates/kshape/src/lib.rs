@@ -11,13 +11,15 @@
 //! * [`extraction`] — **shape extraction** (Algorithm 2): the cluster
 //!   centroid as the maximizer of the Rayleigh quotient of `M = QᵀSQ`,
 //! * [`algorithm`] — the **k-Shape** clustering algorithm (Algorithm 3),
+//! * [`bank`] — its assignment rule, the SBD-nearest centroid with its
+//!   shift, behind every fit, the stream engine and the server,
 //! * [`outofcore`] — the same refinement loop streamed over a
 //!   [`tsdata::store::SeriesView`] row source with working memory
 //!   independent of `n` (Figure 12 scale),
 //! * [`init`] — random and k-shape++-style initializations,
-//! * [`multi`] — multi-restart driver selecting the best run by objective,
-//! * [`sbd_unequal`] — SBD across different lengths (footnote 3) and the
-//!   uniform-scaling variant,
+//! * [`multi`] — best-of-restarts driver selecting the run by objective,
+//! * [`sbd_unequal`] — the kernels behind SBD across different lengths
+//!   (footnote 3),
 //! * [`validity`] — selecting the number of clusters k with intrinsic
 //!   criteria (paper footnote 2): silhouette under SBD plus the inertia
 //!   elbow curve.
@@ -54,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod algorithm;
+pub mod bank;
 pub mod extraction;
 pub mod init;
 pub mod multi;

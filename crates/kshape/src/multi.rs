@@ -1,10 +1,10 @@
-//! Multi-restart driver for k-Shape.
+//! Best-of-restarts driver for k-Shape.
 //!
 //! k-Shape, like k-means, converges to a local optimum that depends on the
 //! random initialization. The paper reports the average Rand index over 10
-//! random runs; practical users usually want the *best* run instead. This
-//! module provides both: run `n_restarts` independent fits and either keep
-//! the lowest-inertia result or return all of them.
+//! random runs; practical users usually want the *best* run instead.
+//! [`try_fit_best`] runs `n_restarts` independent fits and keeps the one
+//! with the lowest inertia.
 
 use tserror::{TsError, TsResult};
 use tsrun::RunControl;
@@ -12,117 +12,46 @@ use tsrun::RunControl;
 use crate::algorithm::{KShape, KShapeConfig, KShapeResult};
 
 /// Runs k-Shape `n_restarts` times with seeds `base_seed..base_seed + r`
-/// and returns every result, in seed order.
+/// and keeps the fit with the lowest inertia (the Equation 1 objective
+/// under SBD); the first such fit wins a tie.
 ///
-/// # Panics
-///
-/// Panics if `n_restarts == 0` or on invalid clustering input (see
-/// [`KShape::fit_with`]).
-#[must_use]
-pub fn fit_restarts(
-    config: &KShapeConfig,
-    series: &[Vec<f64>],
-    n_restarts: usize,
-) -> Vec<KShapeResult> {
-    assert!(n_restarts > 0, "need at least one restart");
-    try_fit_restarts(config, series, n_restarts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible multi-restart driver: validates once and never panics.
-///
-/// Individual restarts that stop at `max_iter` without converging are
-/// *not* an error here — the per-run `converged` flag reports them — so
-/// the restart sweep can still pick the best local optimum.
+/// Restarts that stop at `max_iter` without converging are *not* an
+/// error here — the `converged` flag reports them — so the sweep can
+/// still pick the best local optimum.
 ///
 /// # Errors
 ///
 /// [`TsError::EmptyInput`] when `n_restarts == 0`, plus every validation
 /// error of [`KShape::fit_with`].
-pub fn try_fit_restarts(
-    config: &KShapeConfig,
-    series: &[Vec<f64>],
-    n_restarts: usize,
-) -> TsResult<Vec<KShapeResult>> {
-    try_fit_restarts_with_control(config, series, n_restarts, &RunControl::unlimited())
-}
-
-/// Budget- and cancellation-aware variant of [`try_fit_restarts`]: every
-/// restart polls the same shared `ctrl`, so one deadline bounds the whole
-/// sweep.
-///
-/// # Errors
-///
-/// Same as [`try_fit_restarts`], plus [`TsError::Stopped`] (carrying the
-/// interrupted restart's best labels) when the control trips.
-pub fn try_fit_restarts_with_control(
-    config: &KShapeConfig,
-    series: &[Vec<f64>],
-    n_restarts: usize,
-    ctrl: &RunControl,
-) -> TsResult<Vec<KShapeResult>> {
-    if n_restarts == 0 {
-        return Err(TsError::EmptyInput);
-    }
-    (0..n_restarts)
-        .map(|r| {
-            let cfg = KShapeConfig {
-                seed: config.seed.wrapping_add(r as u64),
-                ..*config
-            };
-            KShape::new(cfg)
-                .fit_core(series, ctrl, tsobs::Obs::none())
-                .map(|(result, _)| result)
-        })
-        .collect()
-}
-
-/// Runs `n_restarts` fits and keeps the one with the lowest inertia
-/// (the Equation 1 objective under SBD).
-///
-/// # Panics
-///
-/// Panics if `n_restarts == 0` or on invalid clustering input.
-#[must_use]
-pub fn fit_best(config: &KShapeConfig, series: &[Vec<f64>], n_restarts: usize) -> KShapeResult {
-    assert!(n_restarts > 0, "need at least one restart");
-    try_fit_best(config, series, n_restarts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible best-of-restarts driver.
-///
-/// # Errors
-///
-/// Same as [`try_fit_restarts`].
 pub fn try_fit_best(
     config: &KShapeConfig,
     series: &[Vec<f64>],
     n_restarts: usize,
 ) -> TsResult<KShapeResult> {
-    try_fit_best_with_control(config, series, n_restarts, &RunControl::unlimited())
-}
-
-/// Budget- and cancellation-aware variant of [`try_fit_best`].
-///
-/// # Errors
-///
-/// Same as [`try_fit_restarts_with_control`].
-pub fn try_fit_best_with_control(
-    config: &KShapeConfig,
-    series: &[Vec<f64>],
-    n_restarts: usize,
-    ctrl: &RunControl,
-) -> TsResult<KShapeResult> {
-    try_fit_restarts_with_control(config, series, n_restarts, ctrl)?
-        .into_iter()
-        .min_by(|a, b| a.inertia.total_cmp(&b.inertia))
-        .ok_or(TsError::EmptyInput)
+    let ctrl = RunControl::unlimited();
+    let mut best: Option<KShapeResult> = None;
+    for r in 0..n_restarts {
+        let cfg = KShapeConfig {
+            seed: config.seed.wrapping_add(r as u64),
+            ..*config
+        };
+        let (fit, _) = KShape::new(cfg).fit_core(series, &ctrl, tsobs::Obs::none())?;
+        if best
+            .as_ref()
+            .is_none_or(|b| fit.inertia.total_cmp(&b.inertia).is_lt())
+        {
+            best = Some(fit);
+        }
+    }
+    best.ok_or(TsError::EmptyInput)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{fit_best, fit_restarts};
-    use crate::algorithm::KShapeConfig;
+    use super::try_fit_best;
+    use crate::algorithm::{KShape, KShapeConfig, KShapeOptions};
     use tsdata::normalize::z_normalize;
+    use tserror::TsError;
 
     fn data() -> Vec<Vec<f64>> {
         let m = 48;
@@ -145,84 +74,45 @@ mod tests {
     }
 
     #[test]
-    fn restarts_produce_requested_count() {
-        let cfg = KShapeConfig {
-            k: 2,
-            seed: 1,
-            ..Default::default()
-        };
-        let results = fit_restarts(&cfg, &data(), 4);
-        assert_eq!(results.len(), 4);
-    }
-
-    #[test]
-    fn best_has_minimal_inertia() {
-        let cfg = KShapeConfig {
-            k: 2,
-            seed: 1,
-            ..Default::default()
-        };
-        let series = data();
-        let all = fit_restarts(&cfg, &series, 5);
-        let best = fit_best(&cfg, &series, 5);
-        let min = all.iter().map(|r| r.inertia).fold(f64::INFINITY, f64::min);
-        assert!((best.inertia - min).abs() < 1e-12);
-    }
-
-    #[test]
-    fn restarts_use_distinct_seeds() {
+    fn best_is_the_lowest_inertia_fit_over_consecutive_seeds() {
         let cfg = KShapeConfig {
             k: 3,
             seed: 100,
             ..Default::default()
         };
-        let results = fit_restarts(&cfg, &data(), 3);
-        // At least the iteration counts or labels should not all be
-        // identical across seeds on this data — weak but deterministic.
-        let first = &results[0].labels;
-        let any_different = results[1..].iter().any(|r| &r.labels != first)
-            || results
-                .windows(2)
-                .any(|w| w[0].iterations != w[1].iterations);
-        // If all runs land in the same optimum that is fine too; just make
-        // sure nothing panicked and shapes are valid.
-        for r in &results {
-            assert_eq!(r.labels.len(), 10);
-        }
-        let _ = any_different;
+        let series = data();
+        let best = try_fit_best(&cfg, &series, 5).expect("clean data");
+        let runs: Vec<_> = (0..5u64)
+            .map(|r| {
+                let seeded = KShapeConfig {
+                    seed: 100 + r,
+                    ..cfg
+                };
+                KShape::fit_with(&series, &KShapeOptions::from(seeded)).expect("clean data")
+            })
+            .collect();
+        let min = runs
+            .iter()
+            .min_by(|a, b| a.inertia.total_cmp(&b.inertia))
+            .unwrap();
+        assert_eq!(best.labels, min.labels);
+        assert_eq!(best.inertia.to_bits(), min.inertia.to_bits());
     }
 
     #[test]
-    fn try_variants_match_panicking_ones() {
-        use super::{try_fit_best, try_fit_restarts};
-        use tserror::TsError;
+    fn rejects_zero_restarts_and_bad_input_with_typed_errors() {
         let cfg = KShapeConfig {
             k: 2,
             seed: 1,
             ..Default::default()
         };
-        let series = data();
-        let a = fit_best(&cfg, &series, 3);
-        let b = try_fit_best(&cfg, &series, 3).expect("clean data");
-        assert_eq!(a.labels, b.labels);
-        assert!((a.inertia - b.inertia).abs() < 1e-15);
         assert!(matches!(
-            try_fit_restarts(&cfg, &series, 0),
+            try_fit_best(&cfg, &data(), 0),
             Err(TsError::EmptyInput)
         ));
         assert!(matches!(
             try_fit_best(&cfg, &[], 2),
             Err(TsError::EmptyInput)
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one restart")]
-    fn rejects_zero_restarts() {
-        let cfg = KShapeConfig {
-            k: 2,
-            ..Default::default()
-        };
-        let _ = fit_restarts(&cfg, &data(), 0);
     }
 }

@@ -10,16 +10,20 @@
 //! *fuses* the two halves of each iteration:
 //!
 //! * the **assignment sweep** reads each row once (through the view's
-//!   borrow-or-stage contract), FFTs it on the fly into a reused
-//!   [`PreparedSeries`] slot, picks the SBD-nearest centroid — and, in
-//!   the same touch, folds the row (aligned by the winning shift) into
-//!   the new cluster's [`GramAccumulator`];
+//!   borrow-or-stage contract) and asks the iteration's [`CentroidBank`]
+//!   for its SBD-nearest centroid — the bank FFTs the row on the fly into
+//!   reused scratch slots — and, in the same touch, folds the row
+//!   (aligned by the winning shift) into the new cluster's
+//!   [`GramAccumulator`];
 //! * the next **refinement** then extracts every centroid from those
 //!   O(k·m²) accumulated Grams without revisiting a single row.
 //!
 //! One row pass per iteration, `O(k·m² + m)` working state, and the
 //! spill window is the only thing standing between the fit and a dataset
-//! bigger than RAM.
+//! bigger than RAM. Fixed-length, multichannel and ragged views share
+//! this one loop: the bank hides how a row is prepared, compared and
+//! aligned (a ragged row is compared with the max-length centroid frame
+//! by the unequal-length SBD and placed into it at the winning offset).
 //!
 //! # Divergences from the in-memory fit
 //!
@@ -43,20 +47,18 @@
 //! cross-checks in `tests/scale.rs` hold both paths to the same labels
 //! there.
 
-use tsdata::distort::shift_zero_pad_into;
 use tsdata::normalize::z_normalize;
 use tsdata::store::SeriesView;
 use tserror::{ensure_k, TsError, TsResult};
-use tsfft::correlate::autocorr0;
 use tsobs::IterationEvent;
 use tsrand::StdRng;
 use tsrun::RunControl;
 
 use crate::algorithm::{l2_delta_sq, KShapeOptions, KShapeResult};
+use crate::bank::CentroidBank;
 use crate::extraction::GramAccumulator;
 use crate::init::{random_assignment, InitStrategy};
-use crate::sbd::{PreparedSeries, SbdPlan, SbdScratch};
-use crate::sbd_unequal::{place_into_frame, unequal_dist_shift};
+use crate::sbd::SbdScratch;
 
 /// Clusters the rows of `view` into `k` groups with working memory
 /// independent of the row count — the out-of-core counterpart of
@@ -106,45 +108,36 @@ pub fn fit_store<V: SeriesView + ?Sized>(
                 .into(),
         });
     }
-    if view.is_ragged() {
-        return fit_store_ragged(view, opts);
-    }
+    let mut bank = CentroidBank::for_view(view)?;
     let c = view.channels();
-    if c == 0 {
-        return Err(TsError::NumericalFailure {
-            context: "view reports zero channels".into(),
-        });
-    }
     let k = cfg.k;
     let fit_span = obs.span("kshape.ooc.fit");
-    let plan = SbdPlan::new(m);
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut labels = random_assignment(n, k, &mut rng);
-    // Centroids are channel-major (`c·m` samples); each (cluster,
-    // channel) pair accumulates its own `m×m` Gram because the shared
-    // winning shift aligns every channel but the Rayleigh extraction is
-    // per channel.
+    // Centroids are channel-major (`c·m` samples; a ragged frame is the
+    // view's maximum length); each (cluster, channel) pair accumulates
+    // its own `m×m` Gram because the shared winning shift aligns every
+    // channel but the Rayleigh extraction is per channel.
     let mut centroids: Vec<Vec<f64>> = vec![vec![0.0; c * m]; k];
     let mut grams: Vec<GramAccumulator> = (0..k * c).map(|_| GramAccumulator::new(m)).collect();
     let mut dists = vec![0.0f64; n];
 
     // Every per-row buffer is hoisted out of the sweep: the row staging
-    // area, the FFT scratch, the prepared-spectrum slots (one per
-    // channel), and the aligned copy. The assignment loop below
-    // allocates nothing.
+    // area, the bank's scratch (which holds the row's prepared spectra),
+    // and the aligned copy. The assignment loop below allocates nothing.
     let mut row_scratch: Vec<f64> = Vec::new();
-    let mut fft_scratch = Vec::new();
     let mut sbd_scratch = SbdScratch::default();
-    let mut prepared: Vec<PreparedSeries> = (0..c).map(|_| PreparedSeries::empty()).collect();
-    let mut aligned = vec![0.0f64; m];
+    let mut aligned = vec![0.0f64; c * m];
 
-    // Pass 0: fold every row, unaligned, into its initial cluster's Gram.
-    // The initial centroids are all-zero, which skips alignment — the
-    // same rule the in-memory first refinement applies.
+    // Pass 0: fold every row, unaligned (a ragged row left-anchored in
+    // the frame), into its initial cluster's Gram. The initial centroids
+    // are all-zero, which skips alignment — the same rule the in-memory
+    // first refinement applies.
     for (i, &label) in labels.iter().enumerate() {
         let row = view.try_row(i, &mut row_scratch)?;
-        for (ch, chunk) in row.chunks_exact(m).enumerate() {
+        bank.align_into(row, 0, &mut aligned);
+        for (ch, chunk) in aligned.chunks_exact(m).enumerate() {
             grams[label * c + ch].push_aligned(chunk);
         }
     }
@@ -184,10 +177,12 @@ pub fn fit_store<V: SeriesView + ?Sized>(
                 labels[worst] = j;
                 obs.counter("kshape.empty_cluster_reseeds", 1);
                 let row = view.try_row(worst, &mut row_scratch)?;
-                let mut seeded = Vec::with_capacity(c * m);
-                for chunk in row.chunks_exact(m) {
-                    seeded.extend_from_slice(&z_normalize(chunk));
-                }
+                let z: Vec<f64> = row
+                    .chunks_exact(row.len() / c)
+                    .flat_map(z_normalize)
+                    .collect();
+                let mut seeded = vec![0.0; c * m];
+                bank.align_into(&z, 0, &mut seeded);
                 Some(seeded)
             } else {
                 let mut parts: Vec<f64> = Vec::with_capacity(c * m);
@@ -218,239 +213,31 @@ pub fn fit_store<V: SeriesView + ?Sized>(
 
         // ----- Fused assignment sweep: one streaming row pass. -----
         let assign_span = obs.span("kshape.ooc.assignment");
-        // Channel-major centroid spectra: `cents[j*c..(j+1)*c]` is
-        // cluster j, matching the per-channel layout of `prepared`.
-        let cents: Vec<PreparedSeries> = centroids
-            .iter()
-            .flat_map(|cent| cent.chunks_exact(m))
-            .map(|chunk| plan.prepare_with(chunk, &mut fft_scratch))
-            .collect();
+        bank.load(&centroids)?;
         obs.counter("sbd.spectra.centroid_ffts", (k * c) as u64);
         for gram in &mut grams {
             gram.clear();
         }
         let mut changed = 0usize;
-        let pair_cost = (k * c * m) as u64;
         for i in 0..n {
-            if let Err(reason) = ctrl.charge(pair_cost) {
+            if let Err(reason) = ctrl.charge(bank.row_cost()) {
                 return Err(RunControl::stop_error(labels, iterations - 1, reason));
             }
             let row = view.try_row(i, &mut row_scratch)?;
-            for (ch, chunk) in row.chunks_exact(m).enumerate() {
-                plan.prepare_into(chunk, &mut prepared[ch], &mut fft_scratch);
-            }
-            let mut best = f64::INFINITY;
-            let mut best_j = 0usize;
-            let mut best_shift = 0isize;
-            for j in 0..k {
-                // x = centroid, y = series: the shift aligns the row
-                // *toward* the centroid, which is exactly what the Gram
-                // it is about to join needs.
-                let (d, s) =
-                    plan.sbd_spectra_multi(&cents[j * c..(j + 1) * c], &prepared, &mut sbd_scratch);
-                if d < best {
-                    best = d;
-                    best_j = j;
-                    best_shift = s;
-                }
-            }
+            let (best_j, best, best_shift) = bank.nearest(row, &mut sbd_scratch);
             if labels[i] != best_j {
                 changed += 1;
                 labels[i] = best_j;
             }
             dists[i] = best;
-            for (ch, chunk) in row.chunks_exact(m).enumerate() {
-                shift_zero_pad_into(chunk, best_shift, &mut aligned);
-                grams[best_j * c + ch].push_aligned(&aligned);
+            // The shift aligns the row toward the centroid, which is
+            // exactly what the Gram it is about to join needs.
+            bank.align_into(row, best_shift, &mut aligned);
+            for (ch, chunk) in aligned.chunks_exact(m).enumerate() {
+                grams[best_j * c + ch].push_aligned(chunk);
             }
         }
         obs.counter("sbd.spectra.series_ffts", (n * c) as u64);
-        obs.counter("sbd.spectra.pair_sweeps", (n * k) as u64);
-        assign_span.end();
-        if obs.is_armed() {
-            let inertia_now: f64 = dists.iter().map(|d| d * d).sum();
-            let shift = deltas
-                .as_deref()
-                .map_or(f64::NAN, |d| d.iter().sum::<f64>().sqrt());
-            obs.iteration(&IterationEvent {
-                algorithm: "kshape-ooc",
-                iter: iterations - 1,
-                inertia: inertia_now,
-                moved: changed,
-                centroid_shift: shift,
-            });
-        }
-        if changed == 0 {
-            converged = true;
-            break;
-        }
-    }
-    obs.counter("kshape.iterations", iterations as u64);
-    fit_span.end();
-    ctrl.report_cost(obs);
-
-    let inertia = dists.iter().map(|d| d * d).sum();
-    Ok(KShapeResult {
-        labels,
-        centroids,
-        iterations,
-        converged,
-        inertia,
-    })
-}
-
-/// The variable-length counterpart of [`fit_store`]: rows keep their
-/// native lengths and are compared to a shared max-length centroid frame
-/// through the unequal-length SBD (paper footnote 3).
-///
-/// The centroid frame is `m_ref = view.series_len()` — the view's
-/// declared maximum row length — and one [`SbdPlan`] sized for `m_ref`
-/// serves every pair, so the padded FFT covers the full `m_ref + len − 1`
-/// lag range of any row. A row's winning alignment places it *into* the
-/// frame at the winning offset (zero-filled elsewhere), which is exactly
-/// the member matrix the frame-sized Gram wants, so refinement is
-/// unchanged from the fixed-length path.
-fn fit_store_ragged<V: SeriesView + ?Sized>(
-    view: &V,
-    opts: &KShapeOptions<'_>,
-) -> TsResult<KShapeResult> {
-    let ctrl = opts.control();
-    let obs = opts.obs();
-    let cfg = &opts.config;
-    let n = view.n_series();
-    let m = view.series_len();
-    if view.channels() != 1 {
-        return Err(TsError::NumericalFailure {
-            context: "ragged multichannel views are unsupported: pad rows to a fixed \
-                      length before stacking channels"
-                .into(),
-        });
-    }
-    let k = cfg.k;
-    let fit_span = obs.span("kshape.ooc.fit");
-    let plan = SbdPlan::new(m);
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut labels = random_assignment(n, k, &mut rng);
-    let mut centroids: Vec<Vec<f64>> = vec![vec![0.0; m]; k];
-    let mut grams: Vec<GramAccumulator> = (0..k).map(|_| GramAccumulator::new(m)).collect();
-    let mut dists = vec![0.0f64; n];
-
-    let mut row_scratch: Vec<f64> = Vec::new();
-    let mut sbd_scratch = SbdScratch::default();
-    let mut cc: Vec<f64> = Vec::new();
-    let mut aligned = vec![0.0f64; m];
-
-    // Pass 0: each row enters its initial cluster's Gram left-anchored
-    // and zero-padded to the reference frame — the ragged analogue of
-    // the unaligned first fold.
-    for (i, &label) in labels.iter().enumerate() {
-        let row = view.try_row(i, &mut row_scratch)?;
-        place_into_frame(row, 0, &mut aligned);
-        grams[label].push_aligned(&aligned);
-    }
-
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut deltas = if obs.is_armed() {
-        Some(vec![0.0f64; k])
-    } else {
-        None
-    };
-    while iterations < cfg.max_iter {
-        if let Err(reason) = ctrl.check_iteration(iterations) {
-            return Err(RunControl::stop_error(labels, iterations, reason));
-        }
-        iterations += 1;
-        if let Some(d) = deltas.as_deref_mut() {
-            d.fill(0.0);
-        }
-
-        // ----- Refinement: identical to the fixed-length path. -----
-        let refine_span = obs.span("kshape.ooc.refinement");
-        for (j, gram) in grams.iter().enumerate() {
-            if let Err(reason) = ctrl.poll() {
-                return Err(RunControl::stop_error(labels, iterations - 1, reason));
-            }
-            let next = if gram.count() == 0 {
-                let worst = dists
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map_or(0, |(i, _)| i);
-                labels[worst] = j;
-                obs.counter("kshape.empty_cluster_reseeds", 1);
-                let row = view.try_row(worst, &mut row_scratch)?;
-                let mut seeded = vec![0.0; m];
-                place_into_frame(&z_normalize(row), 0, &mut seeded);
-                Some(seeded)
-            } else {
-                let next = gram.extract(cfg.eigen);
-                if let Err(reason) = ctrl.charge((gram.count() * m + m * m) as u64) {
-                    return Err(RunControl::stop_error(labels, iterations - 1, reason));
-                }
-                next
-            };
-            if let Some(next) = next {
-                if let Some(d) = deltas.as_deref_mut() {
-                    d[j] = l2_delta_sq(&centroids[j], &next);
-                }
-                centroids[j] = next;
-            }
-        }
-        refine_span.end();
-
-        // ----- Assignment: unequal-length SBD against the frame. -----
-        let assign_span = obs.span("kshape.ooc.assignment");
-        let cents: Vec<(PreparedSeries, f64)> = centroids
-            .iter()
-            .map(|cent| (plan.prepare_padded(cent), autocorr0(cent)))
-            .collect();
-        obs.counter("sbd.spectra.centroid_ffts", k as u64);
-        for gram in &mut grams {
-            gram.clear();
-        }
-        let mut changed = 0usize;
-        let pair_cost = (k * m) as u64;
-        for i in 0..n {
-            if let Err(reason) = ctrl.charge(pair_cost) {
-                return Err(RunControl::stop_error(labels, iterations - 1, reason));
-            }
-            let row = view.try_row(i, &mut row_scratch)?;
-            let ny = row.len();
-            let y_r0 = autocorr0(row);
-            let py = plan.prepare_padded(row);
-            let mut best = f64::INFINITY;
-            let mut best_j = 0usize;
-            let mut best_shift = 0isize;
-            for (j, (px, x_r0)) in cents.iter().enumerate() {
-                // x = centroid (full frame), y = the native-length row.
-                let (d, s) = unequal_dist_shift(
-                    &plan,
-                    px,
-                    m,
-                    *x_r0,
-                    &py,
-                    ny,
-                    y_r0,
-                    &mut cc,
-                    &mut sbd_scratch,
-                );
-                if d < best {
-                    best = d;
-                    best_j = j;
-                    best_shift = s;
-                }
-            }
-            if labels[i] != best_j {
-                changed += 1;
-                labels[i] = best_j;
-            }
-            dists[i] = best;
-            place_into_frame(row, best_shift, &mut aligned);
-            grams[best_j].push_aligned(&aligned);
-        }
-        obs.counter("sbd.spectra.series_ffts", n as u64);
         obs.counter("sbd.spectra.pair_sweeps", (n * k) as u64);
         assign_span.end();
         if obs.is_armed() {
@@ -518,19 +305,10 @@ pub fn assign_store<V: SeriesView + ?Sized>(
     dists: &mut [f64],
 ) -> TsResult<usize> {
     let n = view.n_series();
-    let m = view.series_len();
-    if n == 0 || m == 0 || centroids.is_empty() {
+    if n == 0 || view.series_len() == 0 || centroids.is_empty() {
         return Err(TsError::EmptyInput);
     }
-    let ragged = view.is_ragged();
-    let c = view.channels();
-    if c == 0 || (ragged && c != 1) {
-        return Err(TsError::NumericalFailure {
-            context: "view must report at least one channel, and ragged views are \
-                      single-channel"
-                .into(),
-        });
-    }
+    let mut bank = CentroidBank::for_view(view)?;
     for found in [labels.len(), dists.len()] {
         if found != n {
             return Err(TsError::LengthMismatch {
@@ -540,80 +318,13 @@ pub fn assign_store<V: SeriesView + ?Sized>(
             });
         }
     }
-    for (j, cent) in centroids.iter().enumerate() {
-        if cent.len() != c * m {
-            return Err(TsError::LengthMismatch {
-                expected: c * m,
-                found: cent.len(),
-                series: j,
-            });
-        }
-    }
-    let plan = SbdPlan::new(m);
+    bank.load(centroids)?;
     let mut sbd_scratch = SbdScratch::default();
     let mut row_scratch: Vec<f64> = Vec::new();
     let mut changed = 0usize;
-    if ragged {
-        let mut cc: Vec<f64> = Vec::new();
-        let cents: Vec<(PreparedSeries, f64)> = centroids
-            .iter()
-            .map(|cent| (plan.prepare_padded(cent), autocorr0(cent)))
-            .collect();
-        for i in 0..n {
-            let row = view.try_row(i, &mut row_scratch)?;
-            let ny = row.len();
-            let y_r0 = autocorr0(row);
-            let py = plan.prepare_padded(row);
-            let mut best = f64::INFINITY;
-            let mut best_j = 0usize;
-            for (j, (px, x_r0)) in cents.iter().enumerate() {
-                let (d, _) = unequal_dist_shift(
-                    &plan,
-                    px,
-                    m,
-                    *x_r0,
-                    &py,
-                    ny,
-                    y_r0,
-                    &mut cc,
-                    &mut sbd_scratch,
-                );
-                if d < best {
-                    best = d;
-                    best_j = j;
-                }
-            }
-            if labels[i] != best_j {
-                changed += 1;
-                labels[i] = best_j;
-            }
-            dists[i] = best;
-        }
-        return Ok(changed);
-    }
-    let mut fft_scratch = Vec::new();
-    let mut prepared: Vec<PreparedSeries> = (0..c).map(|_| PreparedSeries::empty()).collect();
-    let cents: Vec<PreparedSeries> = centroids
-        .iter()
-        .flat_map(|cent| cent.chunks_exact(m))
-        .map(|chunk| plan.prepare_with(chunk, &mut fft_scratch))
-        .collect();
-    let k = centroids.len();
     for i in 0..n {
         let row = view.try_row(i, &mut row_scratch)?;
-        for (ch, chunk) in row.chunks_exact(m).enumerate() {
-            plan.prepare_into(chunk, &mut prepared[ch], &mut fft_scratch);
-        }
-        let mut best = f64::INFINITY;
-        let mut best_j = 0usize;
-        for j in 0..k {
-            let (d, _) =
-                plan.sbd_spectra_multi(&cents[j * c..(j + 1) * c], &prepared, &mut sbd_scratch);
-            if d < best {
-                best = d;
-                best_j = j;
-            }
-        }
+        let (best_j, best, _) = bank.nearest(row, &mut sbd_scratch);
         if labels[i] != best_j {
             changed += 1;
             labels[i] = best_j;
@@ -627,6 +338,7 @@ pub fn assign_store<V: SeriesView + ?Sized>(
 mod tests {
     use super::{assign_store, fit_store};
     use crate::algorithm::{KShape, KShapeOptions};
+    use crate::bank::CentroidBank;
     use crate::init::InitStrategy;
     use crate::spectra::SpectraEngine;
     use tsdata::normalize::z_normalize;
@@ -778,13 +490,14 @@ mod tests {
         let n = series.len();
 
         let engine = SpectraEngine::new(&series, 1).expect("engine");
-        let cents = engine.prepare_centroids(&centroids);
+        let mut bank = CentroidBank::fixed(64, 1).expect("bank");
+        bank.load(&centroids).expect("centroids");
         let mut labels_a = vec![0usize; n];
         let mut dists_a = vec![0.0f64; n];
         let mut shifts_a = vec![0isize; n];
         engine
             .assign(
-                &cents,
+                &bank,
                 &mut labels_a,
                 &mut dists_a,
                 &mut shifts_a,

@@ -185,6 +185,12 @@ pub struct SbdScratch {
     /// Cross-channel correlation accumulator for
     /// [`SbdPlan::sbd_spectra_multi`].
     acc: Vec<f64>,
+    /// Raw-row preparation for [`crate::bank::CentroidBank::nearest`]:
+    /// one reusable spectrum slot per channel, the forward-FFT staging
+    /// buffer, and the unequal-length lag sequence.
+    pub(crate) rows: Vec<PreparedSeries>,
+    pub(crate) rfft: Vec<Complex>,
+    pub(crate) lags: Vec<f64>,
 }
 
 impl SbdPlan {
@@ -272,11 +278,7 @@ impl SbdPlan {
     /// Panics if `x.len()` differs from the plan length.
     pub fn prepare_into(&self, x: &[f64], slot: &mut PreparedSeries, scratch: &mut Vec<Complex>) {
         assert_eq!(x.len(), self.m, "series length must match plan");
-        slot.spectrum.clear();
-        slot.spectrum
-            .resize(self.plan.spectrum_len(), Complex::ZERO);
-        self.plan.rfft_into(x, &mut slot.spectrum, scratch);
-        slot.energy = autocorr0(x);
+        self.fill_slot(x, slot, scratch);
     }
 
     /// Precomputes the half-spectrum of a series *no longer than* the plan
@@ -294,19 +296,34 @@ impl SbdPlan {
     /// Panics if `x` is empty or longer than the plan length.
     #[must_use]
     pub fn prepare_padded(&self, x: &[f64]) -> PreparedSeries {
+        let mut slot = PreparedSeries::empty();
+        self.prepare_padded_into(x, &mut slot, &mut Vec::new());
+        slot
+    }
+
+    /// [`Self::prepare_padded`] into a reused slot — the allocation-free
+    /// form the ragged assignment sweep prepares each row with.
+    pub(crate) fn prepare_padded_into(
+        &self,
+        x: &[f64],
+        slot: &mut PreparedSeries,
+        scratch: &mut Vec<Complex>,
+    ) {
         assert!(
             !x.is_empty() && x.len() <= self.m,
             "series length {} outside plan range 1..={}",
             x.len(),
             self.m
         );
-        let mut spectrum = vec![Complex::ZERO; self.plan.spectrum_len()];
-        let mut scratch = Vec::new();
-        self.plan.rfft_into(x, &mut spectrum, &mut scratch);
-        PreparedSeries {
-            spectrum,
-            energy: autocorr0(x),
-        }
+        self.fill_slot(x, slot, scratch);
+    }
+
+    fn fill_slot(&self, x: &[f64], slot: &mut PreparedSeries, scratch: &mut Vec<Complex>) {
+        slot.spectrum.clear();
+        slot.spectrum
+            .resize(self.plan.spectrum_len(), Complex::ZERO);
+        self.plan.rfft_into(x, &mut slot.spectrum, scratch);
+        slot.energy = autocorr0(x);
     }
 
     /// Cross-correlation of two padded-prepared series of original lengths

@@ -7,100 +7,27 @@
 //! placed into a buffer of `x`'s length so downstream consumers (shape
 //! extraction, plotting) receive comparable arrays.
 //!
-//! All transform work routes through [`SbdPlan`]: a plan for the longer
-//! input always has enough power-of-two padding for the full
-//! `nx + ny − 1` lag range, so unequal-length queries share plans — and,
-//! via [`crate::sbd::Sbd::try_sbd_unequal`], the bounded plan cache —
-//! with the equal-length hot path instead of maintaining a private
-//! pad-and-transform pipeline.
-//!
-//! For the *uniform scaling* invariance of Section 2.2 (sequences that
-//! differ in sampling duration), [`sbd_rescaled`] first stretches the
-//! shorter sequence to the longer one's length and then applies the
-//! equal-length SBD.
-//!
-//! The free functions in this module are **deprecated**: the unified
-//! shape-aware entry [`crate::sbd::Sbd::distance`] dispatches
-//! equal-length, unequal-length, rescaled, and multichannel SBD from one
-//! call through the bounded plan cache. They remain as thin wrappers for
-//! existing call sites.
+//! The public entry is [`crate::sbd::Sbd::distance`] (and
+//! [`crate::sbd::Sbd::try_sbd_unequal`]), which dispatches here for
+//! univariate inputs of different lengths; with
+//! [`crate::sbd::SbdOptions::with_rescale`] it instead stretches the
+//! shorter input (the uniform-scaling invariance of Section 2.2). This
+//! module holds the crate-private kernels: the padded-plan distance and
+//! shift, shared with [`crate::bank::CentroidBank`]'s ragged rows, and
+//! the frame placement that aligns a row. A plan for the longer input
+//! always has enough power-of-two padding for the full `nx + ny − 1` lag
+//! range, so unequal-length queries share plans with the equal-length
+//! hot path.
 
-use tsdata::distort::resample;
-use tserror::{ensure_finite, TsError, TsResult};
-use tsfft::correlate::autocorr0;
+use crate::sbd::{PreparedSeries, SbdPlan, SbdResult, SbdScratch};
 
-use crate::sbd::{try_sbd, SbdPlan, SbdResult, SbdScratch};
-
-/// SBD between sequences of possibly different lengths.
-///
-/// The distance is still `1 − max NCCc ∈ [0, 2]`; `aligned` has `x`'s
-/// length, with `y` shifted by the optimal lag and zero-padded/truncated.
-///
-/// # Panics
-///
-/// Panics if either sequence is empty or contains non-finite samples. See
-/// [`try_sbd_unequal`] for the fallible variant.
-#[must_use]
-#[deprecated(
-    since = "0.1.0",
-    note = "use Sbd::distance with SbdOptions — it shares the bounded plan cache"
-)]
-pub fn sbd_unequal(x: &[f64], y: &[f64]) -> SbdResult {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "SBD requires non-empty sequences"
-    );
-    #[allow(deprecated)]
-    try_sbd_unequal(x, y).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible unequal-length SBD: validates once up front, never panics.
-///
-/// # Errors
-///
-/// [`TsError::EmptyInput`] when either sequence is empty,
-/// [`TsError::NonFinite`] on NaN/infinite samples.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Sbd::distance with SbdOptions — it shares the bounded plan cache"
-)]
-pub fn try_sbd_unequal(x: &[f64], y: &[f64]) -> TsResult<SbdResult> {
-    if x.is_empty() || y.is_empty() {
-        return Err(TsError::EmptyInput);
-    }
-    ensure_finite(x, 0)?;
-    ensure_finite(y, 1)?;
-    if x.len() == y.len() {
-        return try_sbd(x, y);
-    }
-    Ok(unequal_with_plan(&SbdPlan::new(x.len().max(y.len())), x, y))
-}
-
-/// Shared core of the free and plan-cached unequal-length SBD paths.
-///
-/// Inputs are validated (non-empty, finite) and `plan` serves the longer
-/// length, so its padding covers the full `nx + ny − 1` lag range. All
-/// transform work routes through the plan's real-FFT spectrum machinery —
-/// there is no private pad-and-transform path left in this module.
+/// Unequal-length SBD of validated (non-empty, finite) inputs, with
+/// `plan` serving the longer length.
 pub(crate) fn unequal_with_plan(plan: &SbdPlan, x: &[f64], y: &[f64]) -> SbdResult {
-    let (x_r0, y_r0) = (autocorr0(x), autocorr0(y));
-    if (x_r0 * y_r0).sqrt() == 0.0 {
-        let both_zero = x_r0 == 0.0 && y_r0 == 0.0;
-        let mut aligned = y.to_vec();
-        aligned.resize(x.len(), 0.0);
-        return SbdResult {
-            dist: if both_zero { 0.0 } else { 1.0 },
-            shift: 0,
-            aligned,
-        };
-    }
-    let (nx, ny) = (x.len(), y.len());
     let (px, py) = (plan.prepare_padded(x), plan.prepare_padded(y));
     let mut scratch = SbdScratch::default();
-    let mut cc = Vec::new();
-    let (dist, shift) =
-        unequal_dist_shift(plan, &px, nx, x_r0, &py, ny, y_r0, &mut cc, &mut scratch);
-    let mut aligned = vec![0.0; nx];
+    let (dist, shift) = unequal_dist_shift(plan, &px, x.len(), &py, y.len(), &mut scratch);
+    let mut aligned = vec![0.0; x.len()];
     place_into_frame(y, shift, &mut aligned);
     SbdResult {
         dist,
@@ -109,43 +36,38 @@ pub(crate) fn unequal_with_plan(plan: &SbdPlan, x: &[f64], y: &[f64]) -> SbdResu
     }
 }
 
-/// Distance-and-shift core of [`unequal_with_plan`] over already-padded
-/// spectra, with every buffer caller-owned and no aligned copy built.
-///
-/// The out-of-core ragged sweep calls this once per `(row, centroid)`
-/// pair — centroid spectra and autocorrelations are hoisted per
-/// iteration, the row's per sweep — and materializes the aligned frame
-/// only for the winning centroid via [`place_into_frame`].
-#[allow(clippy::too_many_arguments)]
+/// Distance and shift between padded-prepared `x` (length `nx`) and `y`
+/// (length `ny`), normalized by their prepared energies `R₀`, with no
+/// aligned copy built. Ties between lags go to the last maximum.
 pub(crate) fn unequal_dist_shift(
     plan: &SbdPlan,
-    px: &crate::sbd::PreparedSeries,
+    px: &PreparedSeries,
     nx: usize,
-    x_r0: f64,
-    py: &crate::sbd::PreparedSeries,
+    py: &PreparedSeries,
     ny: usize,
-    y_r0: f64,
-    cc: &mut Vec<f64>,
     scratch: &mut SbdScratch,
 ) -> (f64, isize) {
+    let (x_r0, y_r0) = (px.energy(), py.energy());
     let denom = (x_r0 * y_r0).sqrt();
     if denom == 0.0 {
         let both_zero = x_r0 == 0.0 && y_r0 == 0.0;
         return (if both_zero { 0.0 } else { 1.0 }, 0);
     }
-    plan.cross_correlate_padded(px, nx, py, ny, cc, scratch);
+    let mut cc = std::mem::take(&mut scratch.lags);
+    plan.cross_correlate_padded(px, nx, py, ny, &mut cc, scratch);
     let (best_idx, best) = cc
         .iter()
+        .copied()
         .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("non-empty correlation");
+    scratch.lags = cc;
     let shift = best_idx as isize - (ny as isize - 1);
     (1.0 - best / denom, shift)
 }
 
 /// Places `y` into the (possibly longer) frame `out` at offset `shift`,
-/// zero-filling everything `y` does not cover — the alignment rule of
-/// [`unequal_with_plan`], shared with the out-of-core ragged Gram fold.
+/// zero-filling everything `y` does not cover.
 pub(crate) fn place_into_frame(y: &[f64], shift: isize, out: &mut [f64]) {
     let n = out.len();
     out.fill(0.0);
@@ -157,63 +79,12 @@ pub(crate) fn place_into_frame(y: &[f64], shift: isize, out: &mut [f64]) {
     }
 }
 
-/// Uniform-scaling SBD: stretches the shorter sequence to the longer
-/// length with linear interpolation (Section 2.2's "uniform scaling
-/// invariance"), then compares with the equal-length SBD.
-///
-/// # Panics
-///
-/// Panics if either sequence is empty or contains non-finite samples. See
-/// [`try_sbd_rescaled`] for the fallible variant.
-#[must_use]
-#[deprecated(
-    since = "0.1.0",
-    note = "use Sbd::distance with SbdOptions::new().with_rescale(true)"
-)]
-pub fn sbd_rescaled(x: &[f64], y: &[f64]) -> SbdResult {
-    assert!(
-        !x.is_empty() && !y.is_empty(),
-        "SBD requires non-empty sequences"
-    );
-    #[allow(deprecated)]
-    try_sbd_rescaled(x, y).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible uniform-scaling SBD.
-///
-/// # Errors
-///
-/// [`TsError::EmptyInput`] or [`TsError::NonFinite`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use Sbd::distance with SbdOptions::new().with_rescale(true)"
-)]
-pub fn try_sbd_rescaled(x: &[f64], y: &[f64]) -> TsResult<SbdResult> {
-    if x.is_empty() || y.is_empty() {
-        return Err(TsError::EmptyInput);
-    }
-    ensure_finite(x, 0)?;
-    ensure_finite(y, 1)?;
-    let target = x.len().max(y.len());
-    let xs;
-    let ys;
-    let (xr, yr): (&[f64], &[f64]) = if x.len() == target {
-        ys = resample(y, target);
-        (x, &ys)
-    } else {
-        xs = resample(x, target);
-        (&xs, y)
-    };
-    try_sbd(xr, yr)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::{sbd_rescaled, sbd_unequal};
-    use crate::sbd::sbd;
+    use crate::sbd::{sbd, Sbd, SbdOptions, SbdResult};
     use tsdata::distort::resample;
     use tsdata::normalize::z_normalize;
+    use tserror::{TsError, TsResult};
 
     fn bump(m: usize, center: f64, width: f64) -> Vec<f64> {
         (0..m)
@@ -221,11 +92,19 @@ mod tests {
             .collect()
     }
 
+    fn unequal(x: &[f64], y: &[f64]) -> TsResult<SbdResult> {
+        Sbd::new().distance(x, y, &SbdOptions::new())
+    }
+
+    fn rescaled(x: &[f64], y: &[f64]) -> TsResult<SbdResult> {
+        Sbd::new().distance(x, y, &SbdOptions::new().with_rescale(true))
+    }
+
     #[test]
     fn equal_lengths_delegate_to_plain_sbd() {
         let x = bump(32, 12.0, 3.0);
         let y = bump(32, 18.0, 3.0);
-        let a = sbd_unequal(&x, &y);
+        let a = unequal(&x, &y).unwrap();
         let b = sbd(&x, &y);
         assert!((a.dist - b.dist).abs() < 1e-12);
         assert_eq!(a.shift, b.shift);
@@ -237,7 +116,7 @@ mod tests {
         // energy, shift recovering the window offset.
         let x = bump(64, 30.0, 4.0);
         let y = x[22..46].to_vec();
-        let r = sbd_unequal(&x, &y);
+        let r = unequal(&x, &y).unwrap();
         assert_eq!(r.shift, 22);
         assert!(r.dist < 0.05, "dist {}", r.dist);
         assert_eq!(r.aligned.len(), 64);
@@ -255,10 +134,10 @@ mod tests {
     fn distance_range_holds() {
         let x = bump(40, 10.0, 2.0);
         let y: Vec<f64> = (0..23).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let d = sbd_unequal(&x, &y).dist;
+        let d = unequal(&x, &y).unwrap().dist;
         assert!((0.0..=2.0 + 1e-9).contains(&d));
         // Swapped arguments give the same distance (negated lags).
-        let d2 = sbd_unequal(&y, &x).dist;
+        let d2 = unequal(&y, &x).unwrap().dist;
         assert!((d - d2).abs() < 1e-9);
     }
 
@@ -267,7 +146,7 @@ mod tests {
         // y is x at 2x the sampling rate: uniform scaling invariance.
         let x = z_normalize(&bump(48, 20.0, 4.0));
         let y = resample(&x, 96);
-        let r = sbd_rescaled(&x, &y);
+        let r = rescaled(&x, &y).unwrap();
         assert!(r.dist < 0.01, "dist {}", r.dist);
     }
 
@@ -275,26 +154,39 @@ mod tests {
     fn zero_energy_edge_cases() {
         let z = vec![0.0; 8];
         let x = bump(12, 6.0, 2.0);
-        assert_eq!(sbd_unequal(&z, &x).dist, 1.0);
-        assert_eq!(sbd_unequal(&z, &[0.0; 5]).dist, 0.0);
+        assert_eq!(unequal(&z, &x).unwrap().dist, 1.0);
+        assert_eq!(unequal(&z, &[0.0; 5]).unwrap().dist, 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "non-empty")]
-    fn rejects_empty() {
-        let _ = sbd_unequal(&[], &[1.0]);
+    fn unequal_and_rescaled_inputs_report_typed_errors() {
+        assert!(matches!(unequal(&[], &[1.0]), Err(TsError::EmptyInput)));
+        assert!(matches!(rescaled(&[1.0], &[]), Err(TsError::EmptyInput)));
+        assert!(matches!(
+            unequal(&[1.0, f64::NAN], &[1.0]),
+            Err(TsError::NonFinite {
+                series: 0,
+                index: 1
+            })
+        ));
+        assert!(matches!(
+            rescaled(&[1.0, 2.0], &[1.0, f64::INFINITY, 3.0]),
+            Err(TsError::NonFinite {
+                series: 1,
+                index: 1
+            })
+        ));
     }
 
     #[test]
-    fn cached_sbd_matches_free_function_and_shares_plans() {
-        use crate::sbd::Sbd;
+    fn cached_entries_agree_and_share_plans() {
         let x = bump(64, 30.0, 4.0);
         let y = x[22..46].to_vec();
         let sbd_cached = Sbd::new();
         let a = sbd_cached.try_sbd_unequal(&x, &y).expect("clean data");
-        let b = sbd_unequal(&x, &y);
+        let b = unequal(&x, &y).unwrap();
         assert_eq!(a.shift, b.shift);
-        assert!((a.dist - b.dist).abs() < 1e-15);
+        assert_eq!(a.dist.to_bits(), b.dist.to_bits());
         assert_eq!(a.aligned, b.aligned);
         // The plan is cached under the longer length — the same key the
         // equal-length hot path uses for length-64 series.
@@ -326,39 +218,5 @@ mod tests {
         for (i, (a, b)) in cc.iter().zip(naive.iter()).enumerate() {
             assert!((a - b).abs() < 1e-9, "lag {i}: {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn try_variants_report_typed_errors_and_match() {
-        use super::{try_sbd_rescaled, try_sbd_unequal};
-        use tserror::TsError;
-        assert!(matches!(
-            try_sbd_unequal(&[], &[1.0]),
-            Err(TsError::EmptyInput)
-        ));
-        assert!(matches!(
-            try_sbd_rescaled(&[1.0], &[]),
-            Err(TsError::EmptyInput)
-        ));
-        assert!(matches!(
-            try_sbd_unequal(&[1.0, f64::NAN], &[1.0]),
-            Err(TsError::NonFinite {
-                series: 0,
-                index: 1
-            })
-        ));
-        assert!(matches!(
-            try_sbd_rescaled(&[1.0, 2.0], &[1.0, f64::INFINITY, 3.0]),
-            Err(TsError::NonFinite {
-                series: 1,
-                index: 1
-            })
-        ));
-        let x = bump(64, 30.0, 4.0);
-        let y = x[22..46].to_vec();
-        let a = sbd_unequal(&x, &y);
-        let b = try_sbd_unequal(&x, &y).expect("clean data");
-        assert_eq!(a.shift, b.shift);
-        assert!((a.dist - b.dist).abs() < 1e-15);
     }
 }

@@ -8,11 +8,12 @@
 //! that work around the [`SbdPlan`] spectrum cache:
 //!
 //! * each input series is transformed **once per fit** ([`SpectraEngine::new`]),
-//! * each centroid is transformed **once per iteration**
-//!   ([`SpectraEngine::prepare_centroids`]),
-//! * assignment is a sweep of [`SbdPlan::sbd_spectra`] kernels — one
-//!   conjugate multiply and one half-size inverse real FFT per (series,
-//!   centroid) pair — over the cached spectra.
+//! * each centroid is transformed **once per iteration**, into a
+//!   [`CentroidBank`],
+//! * assignment asks the bank for every series' nearest centroid
+//!   ([`CentroidBank::nearest_prepared`]) — one conjugate multiply and
+//!   one half-size inverse real FFT per (series, centroid) pair — over
+//!   the cached spectra.
 //!
 //! # Determinism contract
 //!
@@ -33,6 +34,7 @@ use tsdata::store::SeriesView;
 use tserror::{ensure_finite, validate_series_set, StopReason, TsError, TsResult};
 use tsrun::RunControl;
 
+use crate::bank::CentroidBank;
 use crate::sbd::{PreparedSeries, SbdPlan, SbdScratch};
 
 /// Below this many independent work items the engine stays serial even
@@ -300,89 +302,36 @@ impl<'a, V: SeriesView + ?Sized> SpectraEngine<'a, V> {
         &self.spectra[i * self.channels..(i + 1) * self.channels]
     }
 
-    /// Transforms one centroid set — `k · channels` forward rFFTs, once
-    /// per iteration. Each centroid row holds `channels · m` samples,
-    /// channel-major; the result is the matching channel-major spectrum
-    /// layout (`k · channels` entries). `k` is small, so this stays
-    /// serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a centroid's length is not `channels · m`.
-    #[must_use]
-    pub fn prepare_centroids(&self, centroids: &[Vec<f64>]) -> Vec<PreparedSeries> {
-        let m = self.plan.series_len();
-        let mut scratch = Vec::new();
-        let mut out = Vec::with_capacity(centroids.len() * self.channels);
-        for c in centroids {
-            assert_eq!(
-                c.len(),
-                self.channels * m,
-                "centroid length must be channels·m"
-            );
-            for ch in c.chunks_exact(m) {
-                out.push(self.plan.prepare_with(ch, &mut scratch));
-            }
-        }
-        out
-    }
-
-    /// Nearest centroid of series `i`: `(distance, centroid index,
-    /// alignment shift)`, first minimum winning ties. `cents` holds
-    /// `k · channels` prepared spectra, channel-major per centroid.
-    fn nearest(
-        &self,
-        cents: &[PreparedSeries],
-        i: usize,
-        scratch: &mut SbdScratch,
-    ) -> (f64, usize, isize) {
-        let c = self.channels;
-        let sp = self.spectra_of(i);
-        let mut best = f64::INFINITY;
-        let mut best_j = 0usize;
-        let mut best_shift = 0isize;
-        for (j, cent) in cents.chunks_exact(c).enumerate() {
-            // Argument order matters: x = centroid, y = series, so the
-            // shift aligns the series *toward* the centroid — exactly
-            // what the next refinement's shape extraction consumes.
-            let (d, s) = self.plan.sbd_spectra_multi(cent, sp, scratch);
-            if d < best {
-                best = d;
-                best_j = j;
-                best_shift = s;
-            }
-        }
-        (best, best_j, best_shift)
-    }
-
     /// Batched assignment sweep: for every series, the SBD-nearest
-    /// centroid. Writes each series' label, distance, and alignment shift
-    /// to its slot and returns how many labels changed.
+    /// centroid of `bank` (built for this engine's length and channels).
+    /// Writes each series' label, distance, and alignment shift to its
+    /// slot and returns how many labels changed.
     ///
-    /// Charges `ctrl` one `k·m` unit per series, like the pairwise loop
-    /// it replaces.
+    /// Charges `ctrl` one `k·channels·m` unit per series, like the
+    /// pairwise loop it replaces.
     ///
     /// # Errors
     ///
     /// The [`StopReason`] when the control trips mid-sweep (cancellation
     /// wins over other reasons when workers trip concurrently); the slots
     /// already written stay written.
-    pub(crate) fn assign(
+    pub fn assign(
         &self,
-        cents: &[PreparedSeries],
+        bank: &CentroidBank,
         labels: &mut [usize],
         dists: &mut [f64],
         shifts: &mut [isize],
         ctrl: &RunControl,
     ) -> Result<usize, StopReason> {
         let n = self.n;
-        let pair_cost = (cents.len() * self.plan.series_len()) as u64;
+        let pair_cost = bank.row_cost();
         let workers = worker_count(self.threads, n);
         if workers <= 1 {
             let mut scratch = SbdScratch::default();
             let mut changed = 0usize;
             for i in 0..n {
-                let (best, best_j, best_shift) = self.nearest(cents, i, &mut scratch);
+                let (best_j, best, best_shift) =
+                    bank.nearest_prepared(self.spectra_of(i), &mut scratch);
                 dists[i] = best;
                 shifts[i] = best_shift;
                 if best_j != labels[i] {
@@ -412,8 +361,8 @@ impl<'a, V: SeriesView + ?Sized> SpectraEngine<'a, V> {
                         .zip(sc.iter_mut())
                         .enumerate()
                     {
-                        let (best, best_j, best_shift) =
-                            self.nearest(cents, t * chunk + o, &mut scratch);
+                        let (best_j, best, best_shift) =
+                            bank.nearest_prepared(self.spectra_of(t * chunk + o), &mut scratch);
                         *d = best;
                         *sh = best_shift;
                         if best_j != *lab {
@@ -613,8 +562,15 @@ fn stripes<T>(rows: Vec<T>, k: usize) -> Vec<Vec<(usize, T)>> {
 #[cfg(test)]
 mod tests {
     use super::{resolve_threads, SpectraEngine};
+    use crate::bank::CentroidBank;
     use crate::sbd::sbd;
     use tsrun::RunControl;
+
+    fn bank(centroids: &[Vec<f64>]) -> CentroidBank {
+        let mut bank = CentroidBank::fixed(centroids[0].len(), 1).unwrap();
+        bank.load(centroids).unwrap();
+        bank
+    }
 
     fn toy_series(n: usize, m: usize) -> Vec<Vec<f64>> {
         (0..n)
@@ -671,7 +627,7 @@ mod tests {
         let mut reference: Option<AssignSnapshot> = None;
         for threads in [1usize, 2, 4, 8] {
             let engine = SpectraEngine::new(&series, threads).unwrap();
-            let cents = engine.prepare_centroids(&centroids);
+            let cents = bank(&centroids);
             let mut labels = vec![0usize; 50];
             let mut dists = vec![0.0f64; 50];
             let mut shifts = vec![0isize; 50];
@@ -696,7 +652,7 @@ mod tests {
         let series = toy_series(20, 24);
         let centroids = vec![series[3].clone(), series[17].clone()];
         let engine = SpectraEngine::new(&series, 1).unwrap();
-        let cents = engine.prepare_centroids(&centroids);
+        let cents = bank(&centroids);
         let mut labels = vec![0usize; 20];
         let mut dists = vec![0.0f64; 20];
         let mut shifts = vec![0isize; 20];

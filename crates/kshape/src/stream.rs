@@ -6,9 +6,9 @@
 //! an online variant needs. [`StreamKShape`] exploits that:
 //!
 //! * **Assign immediately.** Each arrival is z-normalized and assigned to
-//!   its nearest centroid through the cached-spectra SBD hot path
-//!   ([`SbdPlan::sbd_spectra`]) — one FFT per arrival, centroid spectra
-//!   cached across arrivals.
+//!   its nearest centroid by the engine's [`CentroidBank`] — one FFT per
+//!   arrival channel into reused scratch, centroid spectra cached across
+//!   arrivals and re-prepared only when a centroid changes.
 //! * **Fold into sufficient statistics.** The aligned arrival is folded
 //!   into its cluster's `S` matrix by a rank-one update, under one of
 //!   three [`Decay`] variants: append-only (all history, equal weight),
@@ -57,10 +57,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use tsdata::distort::shift_zero_pad;
 use tsdata::normalize::{try_z_normalize_series, z_normalize_in_place};
 use tserror::{TsError, TsResult};
-use tsfft::Complex;
 use tslinalg::dominant::try_dominant_symmetric_eigen;
 use tslinalg::power::power_iteration;
 use tslinalg::Matrix;
@@ -68,8 +66,9 @@ use tsobs::{IterationEvent, JsonValue, Obs};
 use tsrun::{default_retryable, derive_seed, retry_with_reseed, Budget, RunControl};
 
 use crate::algorithm::{KShape, KShapeOptions};
+use crate::bank::CentroidBank;
 use crate::extraction::EigenMethod;
-use crate::sbd::{PreparedSeries, SbdPlan, SbdScratch};
+use crate::sbd::SbdScratch;
 
 /// Salt separating the stream's fit-seed sequence from any batch run
 /// sharing the same base seed.
@@ -683,7 +682,6 @@ impl ClusterStats {
 /// The online k-Shape engine. See the module docs for the full contract.
 pub struct StreamKShape {
     config: StreamConfig,
-    plan: SbdPlan,
     reseeder: Box<dyn Reseeder>,
     refresh_budget: Option<Budget>,
 
@@ -709,10 +707,11 @@ pub struct StreamKShape {
     // the recent ring when the detector fired.
     reseed_pending: usize,
 
-    // Runtime-only caches, rebuilt on construction and resume.
-    centroid_spectra: Vec<PreparedSeries>,
+    // Runtime-only caches, rebuilt on construction and resume: the
+    // bank holds the current centroids' spectra.
+    bank: CentroidBank,
     scratch: SbdScratch,
-    fft_scratch: Vec<Complex>,
+    aligned: Vec<f64>,
 }
 
 impl fmt::Debug for StreamKShape {
@@ -739,9 +738,8 @@ impl StreamKShape {
     /// Whatever [`StreamConfig::validate`] reports.
     pub fn new(config: StreamConfig) -> TsResult<StreamKShape> {
         config.validate()?;
-        let plan = SbdPlan::try_new(config.m)?;
         Ok(StreamKShape {
-            plan,
+            bank: CentroidBank::fixed(config.m, config.channels)?,
             reseeder: Box::new(KShapeReseeder),
             refresh_budget: None,
             bootstrapped: false,
@@ -759,9 +757,8 @@ impl StreamKShape {
             since_refresh: 0,
             cooldown_left: 0,
             reseed_pending: 0,
-            centroid_spectra: Vec::new(),
             scratch: SbdScratch::default(),
-            fft_scratch: Vec::new(),
+            aligned: vec![0.0; config.samples()],
             config,
         })
     }
@@ -860,29 +857,9 @@ impl StreamKShape {
             };
         }
 
-        // Steady state: assign via cached per-channel centroid spectra.
-        let m = self.config.m;
-        let c = self.config.channels;
-        let mut preps = Vec::with_capacity(c);
-        for chunk in z.chunks_exact(m) {
-            preps.push(self.plan.prepare_with(chunk, &mut self.fft_scratch));
-        }
-        let mut best = (0usize, f64::INFINITY, 0isize);
-        for j in 0..self.config.k {
-            let (dist, shift) = self.plan.sbd_spectra_multi(
-                &self.centroid_spectra[j * c..(j + 1) * c],
-                &preps,
-                &mut self.scratch,
-            );
-            if dist < best.1 {
-                best = (j, dist, shift);
-            }
-        }
-        let (label, dist, shift) = best;
-        for (ch, chunk) in z.chunks_exact(m).enumerate() {
-            let aligned = shift_zero_pad(chunk, shift);
-            self.clusters[label * c + ch].fold(&aligned, self.config.decay);
-        }
+        // Steady state: assign through the bank's cached spectra.
+        let (label, dist, shift) = self.bank.nearest(&z, &mut self.scratch);
+        self.fold_aligned(label, &z, shift);
         self.drift_ring.push_back(dist * dist);
         while self.drift_ring.len() > self.config.drift.long_window {
             self.drift_ring.pop_front();
@@ -1039,7 +1016,9 @@ impl StreamKShape {
             }
         }
         if spectra_dirty {
-            self.rebuild_spectra();
+            self.bank
+                .load(&self.centroids)
+                .expect("refreshed centroids keep the configured shape");
         }
         self.refreshes += 1;
         let moved = self.since_refresh;
@@ -1146,8 +1125,8 @@ impl StreamKShape {
                 z_normalize_in_place(chunk);
             }
         }
+        self.bank.load(&centroids)?;
         self.centroids = centroids;
-        self.rebuild_spectra();
         self.clusters = (0..self.config.k * self.config.channels)
             .map(|_| ClusterStats::empty(self.config.m))
             .collect();
@@ -1159,37 +1138,23 @@ impl StreamKShape {
         // after a fit. The detector re-arms once 2×short_window genuine
         // out-of-sample distances have accumulated.
         self.drift_ring.clear();
-        let m = self.config.m;
-        let c = self.config.channels;
         for (x, &label) in window.iter().zip(&fit.labels) {
-            let mut preps = Vec::with_capacity(c);
-            for chunk in x.chunks_exact(m) {
-                preps.push(self.plan.prepare_with(chunk, &mut self.fft_scratch));
-            }
-            let (_, shift) = self.plan.sbd_spectra_multi(
-                &self.centroid_spectra[label * c..(label + 1) * c],
-                &preps,
-                &mut self.scratch,
-            );
-            for (ch, chunk) in x.chunks_exact(m).enumerate() {
-                let aligned = shift_zero_pad(chunk, shift);
-                self.clusters[label * c + ch].fold(&aligned, self.config.decay);
-            }
+            let shift = self.bank.shift_to(label, x, &mut self.scratch);
+            self.fold_aligned(label, x, shift);
         }
         self.since_refresh = 0;
         obs.counter("stream.fit", 1);
         Ok(fit.labels)
     }
 
-    fn rebuild_spectra(&mut self) {
-        let m = self.config.m;
-        let mut spectra = Vec::with_capacity(self.centroids.len() * self.config.channels);
-        for cent in &self.centroids {
-            for chunk in cent.chunks_exact(m) {
-                spectra.push(self.plan.prepare_with(chunk, &mut self.fft_scratch));
-            }
+    /// Folds `row`, aligned by `shift`, into cluster `label`'s per-channel
+    /// statistics.
+    fn fold_aligned(&mut self, label: usize, row: &[f64], shift: isize) {
+        let c = self.config.channels;
+        self.bank.align_into(row, shift, &mut self.aligned);
+        for (ch, chunk) in self.aligned.chunks_exact(self.config.m).enumerate() {
+            self.clusters[label * c + ch].fold(chunk, self.config.decay);
         }
-        self.centroid_spectra = spectra;
     }
 
     // ---- checkpoint serialization ------------------------------------
@@ -1360,7 +1325,7 @@ impl StreamKShape {
         engine.since_refresh = v.get("since_refresh")?.as_uint()? as usize;
         engine.cooldown_left = v.get("cooldown_left")?.as_uint()? as usize;
         engine.reseed_pending = v.get("reseed_pending")?.as_uint()? as usize;
-        engine.rebuild_spectra();
+        engine.bank.load(&engine.centroids).ok()?;
         Some(engine)
     }
 }

@@ -217,7 +217,11 @@ impl<'a, V: SeriesView + ?Sized> ChannelView<'a, V> {
     /// univariate layout).
     pub fn new(inner: &'a V, channels: usize) -> TsResult<Self> {
         let flat = inner.series_len();
-        if channels == 0 || inner.channels() != 1 || inner.is_ragged() || !flat.is_multiple_of(channels) {
+        if channels == 0
+            || inner.channels() != 1
+            || inner.is_ragged()
+            || !flat.is_multiple_of(channels)
+        {
             return Err(TsError::LengthMismatch {
                 expected: channels.max(1),
                 found: flat,

@@ -8,15 +8,16 @@
 //! corrupt files, so a `kill -9`'d server restarts and serves
 //! bit-identical assignments without refitting.
 //!
-//! In memory each model carries its [`SbdPlan`] and the prepared
-//! spectra of its centroids, so assignment reuses the cached-spectra
-//! hot path: one forward FFT for the query, one conjugate multiply +
-//! half-size inverse per centroid.
+//! In memory each model carries a [`CentroidBank`] of its centroids, so
+//! assignment runs the fit's own nearest-centroid rule: one forward FFT
+//! per query channel, one conjugate multiply + half-size inverse per
+//! centroid, with the centroid as SBD's `x` and the query as its `y`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use kshape::sbd::{PreparedSeries, SbdPlan, SbdScratch};
+use kshape::bank::CentroidBank;
+use kshape::sbd::SbdScratch;
 use tsexperiments::checkpoint::LoadOutcome;
 use tsexperiments::CheckpointStore;
 use tsobs::JsonValue;
@@ -146,52 +147,34 @@ impl Model {
     }
 }
 
-/// A model plus its cached FFT plan and prepared centroid spectra.
+/// A model plus the prepared spectra of its centroids.
 #[derive(Debug)]
 pub struct PreparedModel {
     /// The underlying model.
     pub model: Model,
-    plan: SbdPlan,
-    prepared: Vec<PreparedSeries>,
+    bank: CentroidBank,
 }
 
 impl PreparedModel {
     /// Prepares `model` for assignment (one forward FFT per centroid
     /// channel, done once here).
+    ///
+    /// # Errors
+    ///
+    /// [`tserror::TsError::EmptyInput`] for `m = 0`, and a typed error
+    /// for zero channels or a centroid that is not `channels * m` long.
     pub fn new(model: Model) -> tserror::TsResult<PreparedModel> {
-        let plan = SbdPlan::try_new(model.m)?;
-        let prepared = model
-            .centroids
-            .iter()
-            .flat_map(|c| c.chunks_exact(model.m))
-            .map(|chunk| plan.prepare(chunk))
-            .collect();
-        Ok(PreparedModel {
-            model,
-            plan,
-            prepared,
-        })
+        let mut bank = CentroidBank::fixed(model.m, model.channels)?;
+        bank.load(&model.centroids)?;
+        Ok(PreparedModel { model, bank })
     }
 
     /// Nearest centroid for an already z-normalized channel-major query
-    /// of length `channels * m`: `(label, sbd_distance)`.
+    /// of length `channels * m`: `(label, sbd_distance)`, the same bits
+    /// a fit's assignment sweep computes for that row.
     pub fn assign_one(&self, query: &[f64], scratch: &mut SbdScratch) -> (usize, f64) {
-        debug_assert_eq!(query.len(), self.model.channels * self.model.m);
-        let c = self.model.channels;
-        let q: Vec<PreparedSeries> = query
-            .chunks_exact(self.model.m)
-            .map(|chunk| self.plan.prepare(chunk))
-            .collect();
-        let mut best = (0usize, f64::INFINITY);
-        for idx in 0..self.model.k {
-            let (dist, _shift) =
-                self.plan
-                    .sbd_spectra_multi(&q, &self.prepared[idx * c..(idx + 1) * c], scratch);
-            if dist < best.1 {
-                best = (idx, dist);
-            }
-        }
-        best
+        let (label, dist, _shift) = self.bank.nearest(query, scratch);
+        (label, dist)
     }
 }
 

@@ -15,7 +15,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use kshape::multi::fit_best;
+use kshape::multi::try_fit_best;
 use kshape::KShapeConfig;
 use tsdata::ucr;
 use tseval::rand_index::rand_index;
@@ -121,7 +121,7 @@ fn run(args: &Args) -> Result<(), String> {
         seed: args.seed,
         ..Default::default()
     };
-    let result = fit_best(&cfg, &data.series, args.restarts);
+    let result = try_fit_best(&cfg, &data.series, args.restarts).map_err(|e| e.to_string())?;
 
     eprintln!(
         "# {}: {} series × {} samples, k = {}, best of {} restarts",

@@ -97,7 +97,7 @@ fn multi_restart_never_hurts_best_objective() {
         ..Default::default()
     };
     let single = KShape::fit_with(&data.series, &KShapeOptions::from(cfg)).expect("clean series");
-    let best = kshape::multi::fit_best(&cfg, &data.series, 4);
+    let best = kshape::multi::try_fit_best(&cfg, &data.series, 4).expect("clean series");
     assert!(best.inertia <= single.inertia + 1e-9);
 }
 

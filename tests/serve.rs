@@ -6,16 +6,23 @@
 //! never a process panic, never a hang past the request deadline. A
 //! drain must finish in-flight work, and a restart over the same
 //! checkpoint directory must warm-start and serve byte-identical
-//! assignments without refitting.
+//! assignments without refitting. Served assignments are the fit's own:
+//! label and distance bits equal the fit's assignment sweep.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use kshape::bank::CentroidBank;
+use kshape::sbd::SbdScratch;
+use kshape::{KShape, KShapeConfig, KShapeOptions, SpectraEngine};
 use tsdata::corrupt::{corrupt_bytes, ByteFault};
-use tsrand::StdRng;
+use tsdata::normalize::z_normalize;
+use tsdata::store::ChannelView;
+use tsrand::{Rng, StdRng};
+use tsrun::RunControl;
 use tsserve::loadgen::{self, http_request, parse_response, raw_exchange, request_bytes};
-use tsserve::{ServeConfig, Server, ServerHandle};
+use tsserve::{Model, PreparedModel, ServeConfig, Server, ServerHandle};
 
 /// Short-deadline config sized for tests; `f` tweaks the knobs.
 fn boot(f: impl FnOnce(&mut ServeConfig)) -> ServerHandle {
@@ -58,6 +65,80 @@ fn assign_body(n_per: usize, m: usize, deadline_ms: u64) -> String {
 }
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A served assign runs the fit's assignment rule with the centroid as
+/// SBD's `x` and the query as its `y`: on every training row its label
+/// and distance bits equal the in-memory sweep over the same centroids,
+/// for univariate and 3-channel models.
+#[test]
+fn served_assign_matches_the_fit_sweep_bit_for_bit() {
+    let m = 48;
+    for channels in [1usize, 3] {
+        let mut rng = StdRng::seed_from_u64(11 + channels as u64);
+        let rows: Vec<Vec<f64>> = (0..36)
+            .map(|i| {
+                (0..channels)
+                    .flat_map(|ch| {
+                        let phase = rng.gen_range(0.0..6.0) + ch as f64;
+                        let raw: Vec<f64> = (0..m)
+                            .map(|t| {
+                                let x = t as f64 * 0.2 * (1 + i % 3) as f64 + phase;
+                                x.sin() + rng.gen_range(-0.3..0.3)
+                            })
+                            .collect();
+                        z_normalize(&raw)
+                    })
+                    .collect()
+            })
+            .collect();
+        let cfg = KShapeConfig {
+            k: 3,
+            channels,
+            seed: 5,
+            ..KShapeConfig::default()
+        };
+        let fit = KShape::fit_with(&rows, &KShapeOptions::from(cfg)).expect("fit");
+        let model = PreparedModel::new(Model {
+            name: "pin".into(),
+            k: 3,
+            m,
+            channels,
+            rung: "kshape".into(),
+            converged: fit.converged,
+            iterations: fit.iterations,
+            centroids: fit.centroids.clone(),
+        })
+        .expect("model");
+
+        let view = ChannelView::new(&rows[..], channels).expect("view");
+        let engine = SpectraEngine::from_view(&view, 1).expect("engine");
+        let mut bank = CentroidBank::fixed(m, channels).expect("bank");
+        bank.load(&fit.centroids).expect("centroids");
+        let n = rows.len();
+        let (mut labels, mut dists, mut shifts) = (vec![0; n], vec![0.0; n], vec![0; n]);
+        engine
+            .assign(
+                &bank,
+                &mut labels,
+                &mut dists,
+                &mut shifts,
+                &RunControl::unlimited(),
+            )
+            .expect("unlimited control");
+
+        let mut scratch = SbdScratch::default();
+        for (i, row) in rows.iter().enumerate() {
+            let (label, dist) = model.assign_one(row, &mut scratch);
+            assert_eq!(label, labels[i], "channels={channels} row {i}");
+            assert_eq!(
+                dist.to_bits(),
+                dists[i].to_bits(),
+                "channels={channels} row {i}: served {dist} vs fit {}",
+                dists[i]
+            );
+        }
+    }
+}
 
 #[test]
 fn fit_assign_health_round_trip() {

@@ -1,7 +1,7 @@
 //! Shape-aware data-model properties: the multichannel SBD kernel and
 //! the variable-length [`RaggedStore`].
 //!
-//! Three contracts pinned here:
+//! Four contracts pinned here:
 //!
 //! * Multichannel SBD **is** summed per-channel NCC: the cached-spectra
 //!   kernel must match a naive time-domain reference (numerator summed
@@ -11,6 +11,11 @@
 //!   [`SbdPlan::sbd_spectra_multi`] returns the same bits as the plain
 //!   [`SbdPlan::sbd_spectra`] hot path — the redesign cannot move a
 //!   single existing univariate result;
+//! * [`CentroidBank::nearest`] — the one nearest-centroid rule behind
+//!   every fit, the stream and the server — is exactly the first-minimum
+//!   argmin of the pair kernel over the centroids, for fixed rows of one
+//!   and three channels and for ragged rows, with duplicate (tied) and
+//!   all-zero centroids in the set;
 //! * [`RaggedStore`] round-trips bit-exactly, resident and spilled, and
 //!   a sealed segment hit by any [`ByteFault`] surfaces as a typed
 //!   `CorruptData` — never a panic, never a garbage row.
@@ -18,7 +23,8 @@
 //! Each failure line prints a `TSCHECK_SEED` for deterministic replay:
 //! `TSCHECK_SEED=0x... cargo test --test shape`.
 
-use kshape::sbd::{SbdPlan, SbdScratch};
+use kshape::bank::CentroidBank;
+use kshape::sbd::{PreparedSeries, SbdPlan, SbdScratch};
 use kshape::{Sbd, SbdOptions};
 use tsdata::corrupt::{corrupt_bytes, ByteFault};
 use tsdata::distort::shift_zero_pad;
@@ -66,7 +72,90 @@ fn naive_multichannel_sbd(x: &[f64], y: &[f64], channels: usize) -> f64 {
     1.0 - best / denom
 }
 
+/// `k ≥ 3` random centroids of `len` samples where the last duplicates
+/// the first (a tie) and the second is all zero.
+fn bank_centroids(k: usize, len: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    let mut cents: Vec<Vec<f64>> = (0..k).map(|_| random_series(len, rng)).collect();
+    cents[1] = vec![0.0; len];
+    cents[k - 1] = cents[0].clone();
+    cents
+}
+
+/// The reference rule: `(label, distance, shift)` of the first minimum.
+fn first_min(pairs: impl Iterator<Item = (f64, isize)>) -> (usize, f64, isize) {
+    let mut best = (0usize, f64::INFINITY, 0isize);
+    for (j, (d, s)) in pairs.enumerate() {
+        if d < best.1 {
+            best = (j, d, s);
+        }
+    }
+    best
+}
+
+fn assert_same(got: (usize, f64, isize), want: (usize, f64, isize), what: &str) {
+    assert_eq!(got.0, want.0, "{what}: label");
+    assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: distance bits");
+    assert_eq!(got.2, want.2, "{what}: shift");
+}
+
 tscheck::props! {
+    #[cases(32)]
+    fn centroid_bank_nearest_is_the_first_minimum_of_the_pair_kernel(g) {
+        let m = g.usize_in(4..40);
+        let k = g.usize_in(3..7);
+        let mut rng = StdRng::seed_from_u64(g.u64_in(0..u64::MAX));
+        let plan = SbdPlan::new(m);
+        let mut scratch = SbdScratch::default();
+        let mut bank_scratch = SbdScratch::default();
+
+        for channels in [1usize, 3] {
+            let cents = bank_centroids(k, channels * m, &mut rng);
+            let mut bank = CentroidBank::fixed(m, channels).expect("shape");
+            bank.load(&cents).expect("centroids");
+            let prep = |s: &[f64]| -> Vec<PreparedSeries> {
+                s.chunks_exact(m).map(|ch| plan.prepare(ch)).collect()
+            };
+            let cent_spectra: Vec<Vec<PreparedSeries>> = cents.iter().map(|c| prep(c)).collect();
+            let mut rows: Vec<Vec<f64>> =
+                (0..5).map(|_| random_series(channels * m, &mut rng)).collect();
+            rows.push(cents[0].clone());
+            for row in &rows {
+                let row_spectra = prep(row);
+                let want = first_min(
+                    cent_spectra
+                        .iter()
+                        .map(|c| plan.sbd_spectra_multi(c, &row_spectra, &mut scratch)),
+                );
+                assert_same(bank.nearest(row, &mut bank_scratch), want, "raw row");
+                assert_same(
+                    bank.nearest_prepared(&row_spectra, &mut bank_scratch),
+                    want,
+                    "prepared row",
+                );
+                assert_eq!(bank.shift_to(want.0, row, &mut bank_scratch), want.2);
+            }
+        }
+
+        // Ragged rows shorter than the frame, through the public
+        // unequal-length SBD (centroid as x, row as y).
+        let cents = bank_centroids(k, m, &mut rng);
+        let mut bank = CentroidBank::ragged(m).expect("shape");
+        bank.load(&cents).expect("centroids");
+        let s = Sbd::new();
+        let mut rows: Vec<Vec<f64>> = (0..5)
+            .map(|_| random_series(g.usize_in(1..m), &mut rng))
+            .collect();
+        rows.push(cents[0][..g.usize_in(1..m)].to_vec());
+        for row in &rows {
+            let want = first_min(cents.iter().map(|c| {
+                let r = s.distance(c, row, &SbdOptions::new()).expect("finite input");
+                (r.dist, r.shift)
+            }));
+            assert_same(bank.nearest(row, &mut bank_scratch), want, "ragged row");
+            assert_eq!(bank.shift_to(want.0, row, &mut bank_scratch), want.2);
+        }
+    }
+
     #[cases(24)]
     fn multichannel_sbd_matches_summed_ncc_and_is_symmetric(g) {
         let channels = g.usize_in(1..4);
